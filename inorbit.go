@@ -72,11 +72,10 @@ const (
 
 // Ephemeris is the stable propagation surface: where every satellite is at
 // time t. Frames from SnapshotAt are shared and immutable; SnapshotInto
-// fills a caller buffer with exact positions; Interpolated trades a
-// bounded position error (see WithInterpolation) for cheaper sub-step
-// queries. The service-wide implementation parallelises propagation over
-// GOMAXPROCS workers and caches keyframes so concurrent consumers reuse
-// each other's work.
+// fills a caller buffer. Both return exact positions, bit-identical to
+// propagating each satellite directly. The service-wide implementation
+// parallelises propagation over GOMAXPROCS workers and caches keyframes
+// so concurrent consumers reuse each other's work.
 type Ephemeris interface {
 	// Size returns the number of satellites per frame.
 	Size() int
@@ -84,9 +83,6 @@ type Ephemeris interface {
 	SnapshotAt(tSec float64) []geo.Vec3
 	// SnapshotInto fills dst (length Size()) with exact positions at tSec.
 	SnapshotInto(tSec float64, dst []geo.Vec3) error
-	// Interpolated fills dst (length Size()) with positions interpolated
-	// between cached keyframes bracketing tSec.
-	Interpolated(tSec float64, dst []geo.Vec3) error
 }
 
 // Service is the in-orbit computing service. It embeds the core service —
@@ -99,8 +95,7 @@ type Service struct {
 }
 
 // New builds the service over a preset constellation. Pass functional
-// options (WithStepSec, WithFaults, WithEphemCache, ...) to configure it;
-// the legacy Options struct is also accepted.
+// options (WithStepSec, WithFaults, WithEphemCache, ...) to configure it.
 func New(choice core.ConstellationChoice, opts ...Option) (*Service, error) {
 	set := collect(opts)
 	svc, err := core.NewService(choice, set.core)
@@ -208,17 +203,6 @@ type FleetStats = fleet.Stats
 // WithFleetCapacity.
 type ServerSpec = compute.ServerSpec
 
-// NewFleet builds a fleet orchestrator over the service's constellation,
-// sharing its ISL grid and ephemeris engine.
-//
-// Deprecated: call Service.NewFleet with per-orchestrator FleetOptions
-// (WithFleetSessions, WithFleetEpoch, WithFleetCapacity, WithFleetShards)
-// instead; this constructor ignores the service's construction options.
-func NewFleet(svc *Service, cfg FleetConfig) (*Fleet, error) {
-	cfg.Ephem = svc.Service.Ephemeris()
-	return fleet.New(svc.Constellation(), svc.Grid(), cfg)
-}
-
 // NewFleetSession builds a session for a user group with default demand;
 // adjust its exported fields before submitting.
 func NewFleetSession(id uint64, users []LatLon) (*FleetSession, error) {
@@ -234,13 +218,5 @@ type FaultInjector = faults.Injector
 // FaultConfig parameterises a FaultInjector.
 type FaultConfig = faults.Config
 
-// NewFaultInjector builds an injector for the service's constellation.
-//
-// Deprecated: build the service with WithFaults and use Service.Faults
-// (or Service.Fleet, which arms the orchestrator itself).
-func NewFaultInjector(svc *Service, cfg FaultConfig) (*FaultInjector, error) {
-	return faults.New(svc.Constellation().Size(), cfg)
-}
-
-// Interp compile-time check: the engine is the facade's Ephemeris.
+// Compile-time check: the engine is the facade's Ephemeris.
 var _ Ephemeris = (*ephem.Engine)(nil)

@@ -10,7 +10,7 @@ import (
 
 func service(t testing.TB) *Service {
 	t.Helper()
-	svc, err := New(Starlink, Options{})
+	svc, err := New(Starlink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCustomConstellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewCustom(c, Options{})
+	svc, err := NewCustom(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPolicyConstantsDistinct(t *testing.T) {
 
 func TestFleetFacade(t *testing.T) {
 	svc := service(t)
-	f, err := NewFleet(svc, FleetConfig{})
+	f, err := svc.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +123,11 @@ func TestFleetFacade(t *testing.T) {
 	}
 }
 
-// TestFleetOptionsEquivalence pins the deprecated package-level
-// NewFleet(svc, cfg) shim to the options path: the same tuning expressed
-// either way must run the same workload to identical epoch reports and
-// final assignments.
+// TestFleetOptionsEquivalence pins the two ways of tuning a fleet to each
+// other: per-orchestrator FleetOptions on Service.NewFleet and a
+// service-wide WithFleet config behind Service.Fleet. The same tuning
+// expressed either way must run the same workload to identical epoch
+// reports and final assignments.
 func TestFleetOptionsEquivalence(t *testing.T) {
 	groups := [][]LatLon{
 		{{LatDeg: 9.06, LonDeg: 7.49}, {LatDeg: 8.5, LonDeg: 9.0}},
@@ -166,17 +167,24 @@ func TestFleetOptionsEquivalence(t *testing.T) {
 		return reps, sats
 	}
 
-	svc := service(t)
-	oldF, err := NewFleet(svc, FleetConfig{StepSec: 30, LookaheadSec: 900, PlannerShards: 3})
+	cfgSvc, err := New(Starlink, WithFleet(FleetConfig{StepSec: 30, LookaheadSec: 900, PlannerShards: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	oldF, err := cfgSvc.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service(t)
 	newF, err := svc.NewFleet(WithFleetEpoch(30), WithFleetLookahead(900), WithFleetShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := newF.PlannerShards(); got != 3 {
 		t.Fatalf("PlannerShards = %d, want 3", got)
+	}
+	if any(newF.Ephemeris()) != svc.Ephemeris() {
+		t.Fatal("NewFleet must share the service-wide ephemeris engine")
 	}
 	oldReps, oldSats := run(oldF)
 	newReps, newSats := run(newF)
@@ -270,37 +278,30 @@ func TestFaultsWithoutOption(t *testing.T) {
 	}
 }
 
+// TestOptionOrderAndLegacyMerge covers how options combine: each reaches
+// core validation, later options win, nil options are skipped, and the
+// whole-config WithFleet merges with finer options applied after it.
 func TestOptionOrderAndLegacyMerge(t *testing.T) {
-	// A negative ISL rate is rejected at construction whichever style set it.
-	if _, err := New(Telesat, Options{ISLBandwidthGbps: -1}); err == nil {
-		t.Fatal("legacy Options must still reach core validation")
-	}
+	// A negative ISL rate is rejected at construction.
 	if _, err := New(Telesat, WithISLBandwidth(-1)); err == nil {
 		t.Fatal("WithISLBandwidth must reach core validation")
 	}
-	// Later options win: a valid legacy struct repairs the earlier option...
-	if _, err := New(Telesat, WithISLBandwidth(-1), Options{ISLBandwidthGbps: 2.5}); err != nil {
-		t.Fatalf("later Options should override earlier option: %v", err)
+	// Later options win: a valid rate repairs the earlier one...
+	if _, err := New(Telesat, WithISLBandwidth(-1), WithISLBandwidth(2.5)); err != nil {
+		t.Fatalf("later option should override earlier option: %v", err)
 	}
-	// ...but a zero-valued legacy struct merges nothing and must not reset
-	// settings accumulated before it.
-	if _, err := New(Telesat, WithISLBandwidth(-1), Options{}); err == nil {
-		t.Fatal("zero legacy Options must not clobber earlier options")
+	// ...and an invalid one overrides an earlier valid one.
+	if _, err := New(Telesat, WithISLBandwidth(2.5), WithISLBandwidth(-1)); err == nil {
+		t.Fatal("later invalid option must not be masked by an earlier one")
 	}
-}
-
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	svc := smallService(t)
-	fl, err := NewFleet(svc, FleetConfig{})
-	if err != nil {
-		t.Fatal(err)
+	// A nil option merges nothing and must not reset earlier settings.
+	if _, err := New(Telesat, WithISLBandwidth(-1), nil); err == nil {
+		t.Fatal("nil option must not clobber earlier options")
 	}
-	if any(fl.Ephemeris()) != svc.Ephemeris() {
-		t.Fatal("NewFleet must share the service-wide ephemeris engine")
-	}
-	inj, err := NewFaultInjector(svc, FaultConfig{Seed: 1, SatMTBFHours: 4, SatMTTRSec: 600})
-	if err != nil || inj == nil {
-		t.Fatalf("NewFaultInjector: %v, %v", inj, err)
+	// WithStepSec after WithFleet refines the whole-config override.
+	svc := smallService(t, WithFleet(FleetConfig{LookaheadSec: 900}), WithStepSec(30))
+	if svc.set.fleet.LookaheadSec != 900 || svc.set.fleet.StepSec != 30 {
+		t.Fatalf("fleet settings = %+v, want lookahead 900 and step 30", svc.set.fleet)
 	}
 }
 

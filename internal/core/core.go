@@ -49,7 +49,7 @@ type Options struct {
 	// migration; zero means the default laser-terminal class rate.
 	ISLBandwidthGbps float64
 	// Ephem tunes the service-wide ephemeris engine (workers, cache
-	// frames, interpolation); the zero value uses the ephem defaults.
+	// tiers, keyframe grid); the zero value uses the ephem defaults.
 	Ephem ephem.Config
 }
 

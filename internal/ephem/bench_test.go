@@ -154,45 +154,6 @@ func BenchmarkSnapshotCached(b *testing.B) {
 	b.ReportMetric(coldNs/hitNs, "cache-speedup-x")
 }
 
-// BenchmarkInterpolated compares exact sub-step propagation against cubic
-// Hermite interpolation between warmed keyframes, and records the measured
-// worst-case interpolation error over one grid interval.
-func BenchmarkInterpolated(b *testing.B) {
-	c := starlink(b)
-	eng := ephem.New(c, ephem.Config{})
-	eng.SnapshotAt(0)
-	eng.SnapshotAt(60)
-	dst := make([]geo.Vec3, c.Size())
-	var exactNs, interpNs float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		for r := 0; r < frameReps; r++ {
-			if err := eng.SnapshotInto(7.3+float64(r)*11, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-		exactNs += float64(time.Since(t0).Nanoseconds())
-		t0 = time.Now()
-		for r := 0; r < frameReps; r++ {
-			if err := eng.Interpolated(7.3+float64(r)*11, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-		interpNs += float64(time.Since(t0).Nanoseconds())
-	}
-	b.StopTimer()
-	maxKm, err := eng.MeasureError(0, 60, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := float64(b.N * frameReps)
-	b.ReportMetric(exactNs/frames, "exact-ns-per-frame")
-	b.ReportMetric(interpNs/frames, "interp-ns-per-frame")
-	b.ReportMetric(exactNs/interpNs, "interp-speedup-x")
-	b.ReportMetric(maxKm, "hermite-max-err-km")
-}
-
 // BenchmarkFleetRun2h drives the fleet orchestrator through a simulated
 // two-hour Telesat run (120 one-minute epochs, 60 two-user sessions) over
 // its private engine and reports the wall clock plus cache occupancy.

@@ -11,17 +11,13 @@
 //     nearby instants reuse one propagation instead of repeating it. The
 //     cache is two-tier: frames on the keyframe grid (multiples of
 //     GridStepSec) live in a protected ring that sequential sweeps cannot
-//     flush, all other instants share an LRU pool; and
-//   - offers optional Hermite/linear interpolation between grid keyframes
-//     for sub-step queries, trading a measured, bounded position error
-//     (see interp.go) for a large reduction in trigonometric work.
+//     flush, all other instants share an LRU pool.
 //
 // Frames returned by SnapshotAt are immutable and shared: callers must not
 // modify them, and may retain them for as long as they like (eviction only
-// drops the engine's reference, never reuses the memory). With
-// interpolation off every position is bit-identical to calling
-// Prop.ECEFAt directly, so engine-backed pipelines reproduce pre-engine
-// outputs byte for byte.
+// drops the engine's reference, never reuses the memory). Every position
+// is bit-identical to calling Prop.ECEFAt directly, so engine-backed
+// pipelines reproduce pre-engine outputs byte for byte.
 package ephem
 
 import (
@@ -37,29 +33,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Mode selects the interpolation scheme used by Interpolated.
-type Mode int
-
-const (
-	// Hermite is cubic Hermite interpolation over position + velocity
-	// keyframes: O(h⁴) error, metre-scale at the default 60 s grid.
-	Hermite Mode = iota
-	// Linear is chordal interpolation over position keyframes only:
-	// O(h²) error, kilometre-scale at the default 60 s grid.
-	Linear
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Hermite:
-		return "hermite"
-	case Linear:
-		return "linear"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Config tunes an Engine. The zero value picks the defaults noted on each
 // field.
 type Config struct {
@@ -74,13 +47,11 @@ type Config struct {
 	// ring holding snapshots at multiples of GridStepSec (default 64;
 	// negative disables the tier). Grid frames are evicted FIFO and only
 	// by other grid frames, so a long off-grid sweep cannot flush the
-	// keyframes that interpolation and lookahead queries keep returning to.
+	// keyframes that lookahead queries keep returning to.
 	GridFrames int
 	// GridStepSec is the keyframe grid spacing in seconds (default 60,
 	// the meetup/fleet lookahead sampling step).
 	GridStepSec float64
-	// Interp selects the Interpolated scheme (default Hermite).
-	Interp Mode
 	// Registry receives the ephem_* metric families (default obs.Default()).
 	Registry *obs.Registry
 	// Tracer, when set, records one span per propagation batch.
@@ -107,25 +78,21 @@ func (c Config) withDefaults() Config {
 }
 
 // frame is one cached full-constellation snapshot. pos is immutable once
-// published; vel is filled lazily (under the engine lock) the first time a
-// Hermite interpolation needs this keyframe.
+// published.
 type frame struct {
 	t   float64
 	pos []geo.Vec3
-	vel []geo.Vec3
 }
 
 // Stats is a point-in-time view of one engine's cache behaviour.
 type Stats struct {
-	// Hits and Misses count cache lookups across SnapshotAt, SnapshotInto,
-	// and keyframe fetches.
+	// Hits and Misses count cache lookups across SnapshotAt and
+	// SnapshotInto.
 	Hits, Misses uint64
 	// Frames is the number of cached frames currently held (both tiers).
 	Frames int
 	// PropagatedSats counts individual satellite propagations performed.
 	PropagatedSats uint64
-	// Interpolations counts Interpolated calls served between keyframes.
-	Interpolations uint64
 }
 
 // Engine is a shared, parallel, cached ephemeris for one constellation.
@@ -141,7 +108,7 @@ type Engine struct {
 	grid      map[int64]*frame         // grid index → keyframe
 	gridOrder []int64                  // grid insertion order (FIFO eviction)
 
-	hits, misses, propagated, interpolations uint64 // guarded by mu
+	hits, misses, propagated uint64 // guarded by mu
 }
 
 // New builds an engine over c. c must be non-nil and already built.
@@ -176,7 +143,6 @@ func (e *Engine) Stats() Stats {
 		Misses:         e.misses,
 		Frames:         len(e.misc) + len(e.grid),
 		PropagatedSats: e.propagated,
-		Interpolations: e.interpolations,
 	}
 }
 
@@ -289,14 +255,6 @@ func (e *Engine) SnapshotInto(t float64, dst []geo.Vec3) error {
 	return nil
 }
 
-// Keyframe returns the cached grid keyframe nearest at-or-below t,
-// propagating it on a miss. It always queries an exact grid instant, so
-// the protected tier absorbs it.
-func (e *Engine) Keyframe(t float64) []geo.Vec3 {
-	t0 := math.Floor(t/e.cfg.GridStepSec) * e.cfg.GridStepSec
-	return e.SnapshotAt(t0)
-}
-
 // propagate fills dst with exact positions at t using the worker pool.
 // The chunked parallel loop performs, per satellite, the identical
 // float64 operations as the serial loop — only the goroutine doing them
@@ -310,14 +268,12 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	}
 	start := time.Now()
 	sats := e.c.Satellites
-	e.parallelFor(len(sats), minParallelSats, func(lo, hi int) {
+	e.parallelFor(len(sats), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = sats[i].Prop.ECEFAt(t)
 		}
 	})
-	elapsed := time.Since(start)
-	e.m.propagateSec.Observe(elapsed.Seconds())
-	e.m.propagateQ.Observe(float64(elapsed) / float64(time.Millisecond))
+	e.m.propagateQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	e.m.propagated.Add(uint64(len(sats)))
 	e.mu.Lock()
 	e.propagated += uint64(len(sats))
@@ -327,33 +283,18 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	}
 }
 
-// velocities fills dst with exact ECEF velocities at t using the worker
-// pool.
-func (e *Engine) velocities(t float64, dst []geo.Vec3) {
-	sats := e.c.Satellites
-	e.parallelFor(len(sats), minParallelSats, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = sats[i].Prop.ECEFVelocityAt(t)
-		}
-	})
-	e.m.propagated.Add(uint64(len(sats)))
-	e.mu.Lock()
-	e.propagated += uint64(len(sats))
-	e.mu.Unlock()
-}
-
 // minParallelSats is the frame size below which fan-out costs more than
 // the propagation it parallelises.
 const minParallelSats = 512
 
 // parallelFor splits [0, n) into one contiguous chunk per worker and runs
-// f on each. With one worker (or a small n) it runs inline.
-func (e *Engine) parallelFor(n, minN int, f func(lo, hi int)) {
+// f on each. With one worker (or n below minParallelSats) it runs inline.
+func (e *Engine) parallelFor(n int, f func(lo, hi int)) {
 	w := e.cfg.Workers
 	if w > n {
 		w = n
 	}
-	if w <= 1 || n < minN {
+	if w <= 1 || n < minParallelSats {
 		f(0, n)
 		return
 	}

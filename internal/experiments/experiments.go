@@ -104,7 +104,6 @@ func EphemStats() ephem.Stats {
 		total.Misses += s.Misses
 		total.Frames += s.Frames
 		total.PropagatedSats += s.PropagatedSats
-		total.Interpolations += s.Interpolations
 	}
 	return total
 }

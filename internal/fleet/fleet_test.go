@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -474,11 +475,24 @@ func TestMetricsExposed(t *testing.T) {
 		"fleet_sessions_assigned",
 		`fleet_placements_total{kind="initial"}`,
 		"fleet_epochs_total 1",
-		"fleet_placement_latency_seconds",
+		"fleet_replan_ms",
+		"fleet_transfer_ms",
 		"fleet_index_query_seconds",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metric %q missing from registry render:\n%s", want, text)
 		}
+	}
+	// Replan and transfer latency have one family each, the summaries
+	// above: the only fleet histograms are the index-query and epoch ones.
+	var hists []string
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "histogram" && strings.HasPrefix(f[2], "fleet_") {
+			hists = append(hists, f[2])
+		}
+	}
+	slices.Sort(hists)
+	if want := []string{"fleet_epoch_seconds", "fleet_index_query_seconds"}; !slices.Equal(hists, want) {
+		t.Fatalf("fleet histogram families = %v, want %v", hists, want)
 	}
 }

@@ -15,13 +15,12 @@ type metricsSet struct {
 	rejections   *obs.Counter   // fleet_rejections_total
 	departures   *obs.Counter   // fleet_departures_total
 	epochs       *obs.Counter   // fleet_epochs_total
-	placeLat     *obs.Histogram // fleet_placement_latency_seconds
 	indexQuery   *obs.Histogram // fleet_index_query_seconds
 	epochSec     *obs.Histogram // fleet_epoch_seconds
-	transferMs   *obs.Histogram // fleet_handoff_transfer_ms
 
-	// Streaming quantiles (no preset bucket bounds) feeding the timeline
-	// recorder and the fleetsim SLO report.
+	// Streaming quantiles (no preset bucket bounds): the one record of
+	// replan and transfer latency, read by Stats, the timeline recorder
+	// and the fleetsim SLO report.
 	replanQ   *obs.Quantile // fleet_replan_ms — per-session proposal/replan latency
 	transferQ *obs.Quantile // fleet_transfer_ms — hand-off one-way transfer latency
 
@@ -44,14 +43,8 @@ type metricsSet struct {
 	retryDeferred *obs.Counter // fleet_retry_backoff_deferrals_total
 }
 
-var (
-	// Wall-clock buckets for per-session planner work (µs-scale).
-	placementBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2, 0.1}
-	// Footprint-index query buckets (sub-µs to ms).
-	queryBuckets = []float64{2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3}
-	// One-way state-transfer latency buckets in milliseconds.
-	transferBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250}
-)
+// Footprint-index query buckets (sub-µs to ms).
+var queryBuckets = []float64{2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3}
 
 func newMetrics(reg *obs.Registry) *metricsSet {
 	placements := reg.CounterVec("fleet_placements_total",
@@ -95,14 +88,10 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Sessions removed at their departure time."),
 		epochs: reg.Counter("fleet_epochs_total",
 			"Planner epochs executed."),
-		placeLat: reg.Histogram("fleet_placement_latency_seconds",
-			"Wall-clock time to compute one session's ranked placement proposal.", placementBuckets),
 		indexQuery: reg.Histogram("fleet_index_query_seconds",
 			"Wall-clock time of one footprint-index candidate query.", queryBuckets),
 		epochSec: reg.Histogram("fleet_epoch_seconds",
 			"Wall-clock time of one full planner epoch.", obs.DefBuckets),
-		transferMs: reg.Histogram("fleet_handoff_transfer_ms",
-			"One-way state-transfer latency of hand-offs (ISL path or ground relay).", transferBuckets),
 		replanQ: reg.Quantile("fleet_replan_ms",
 			"Streaming quantile of per-session placement/replan proposal latency in wall-clock ms."),
 		transferQ: reg.Quantile("fleet_transfer_ms",

@@ -400,7 +400,6 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 			return rep, err
 		}
 		for i := range chunk {
-			o.m.placeLat.Observe(pl.props[i].latSec)
 			o.m.replanQ.Observe(pl.props[i].latSec * 1e3)
 		}
 		for w := range pl.workers {
@@ -521,7 +520,6 @@ func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 			s.Handoffs++
 			rep.Transfer.Add(transfer)
 			rep.Downtime.Add(res.DowntimeSec)
-			o.m.transferMs.Observe(transfer)
 			o.m.transferQ.Observe(transfer)
 			o.m.handoffs.Inc()
 			o.m.placeHandoff.Inc()

@@ -258,7 +258,6 @@ func (s *Snapshot) ShortestPath(src, dst NodeID) (Path, error) {
 	}
 	putCtx(c)
 	m.pathQueries.Inc()
-	m.pathSec.Observe(time.Since(start).Seconds())
 	m.pathQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	totalPathQueries.Add(1)
 	if math.IsInf(d, 1) {
@@ -377,7 +376,6 @@ func ISLShortest(g *isl.Grid, satPos []geo.Vec3, a, b int) (Path, error) {
 	}
 	putCtx(c)
 	m.islQueries.Inc()
-	m.islSec.Observe(time.Since(start).Seconds())
 	m.islQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	totalISLQueries.Add(1)
 	if math.IsInf(d, 1) {
@@ -411,7 +409,6 @@ func (s *Snapshot) LatencyToAllSatsInto(gi int, dst []float64) []float64 {
 	}
 	putCtx(c)
 	m.ssspQueries.Inc()
-	m.ssspSec.Observe(time.Since(start).Seconds())
 	m.ssspQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	totalSSSPQueries.Add(1)
 	return dst
@@ -441,7 +438,6 @@ func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
 	}
 	putCtx(c)
 	m.ssspQueries.Inc()
-	m.ssspSec.Observe(time.Since(start).Seconds())
 	m.ssspQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	totalSSSPQueries.Add(1)
 	return out

@@ -22,33 +22,24 @@ type metricsSet struct {
 	deltaPairs   *obs.Counter   // netgraph_freeze_delta_pairs_total
 	deltaSec     *obs.Histogram // netgraph_freeze_delta_seconds
 
-	pathQueries *obs.Counter   // netgraph_queries_total{kind=path}
-	ssspQueries *obs.Counter   // netgraph_queries_total{kind=sssp}
-	islQueries  *obs.Counter   // netgraph_queries_total{kind=isl}
-	pathSec     *obs.Histogram // netgraph_query_seconds{kind=path}
-	ssspSec     *obs.Histogram // netgraph_query_seconds{kind=sssp}
-	islSec      *obs.Histogram // netgraph_query_seconds{kind=isl}
+	pathQueries *obs.Counter // netgraph_queries_total{kind=path}
+	ssspQueries *obs.Counter // netgraph_queries_total{kind=sssp}
+	islQueries  *obs.Counter // netgraph_queries_total{kind=isl}
 
-	// Streaming quantiles over the same query latencies (ms), feeding the
-	// timeline recorder without preset bucket bounds.
+	// Streaming quantiles of query wall-clock latency (ms): the one record
+	// of query cost, read by the timeline recorder and QueryQuantiles.
 	pathQ *obs.Quantile // netgraph_query_ms{kind=path}
 	ssspQ *obs.Quantile // netgraph_query_ms{kind=sssp}
 	islQ  *obs.Quantile // netgraph_query_ms{kind=isl}
 }
 
 // A freeze is one visibility scan per ground station plus the CSR fill —
-// tens of µs to a few ms at constellation scale; queries on the frozen
-// arrays run µs-scale.
-var (
-	freezeBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2}
-	queryBuckets  = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3}
-)
+// tens of µs to a few ms at constellation scale.
+var freezeBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2}
 
 func newMetrics(reg *obs.Registry) *metricsSet {
 	queries := reg.CounterVec("netgraph_queries_total",
 		"Routing queries served from frozen CSR snapshots, by kind.", "kind")
-	querySec := reg.HistogramVec("netgraph_query_seconds",
-		"Wall-clock time of one routing query on a frozen snapshot.", queryBuckets, "kind")
 	queryQ := reg.QuantileVec("netgraph_query_ms",
 		"Streaming quantile of routing-query wall-clock latency in ms, by kind.", "kind")
 	return &metricsSet{
@@ -67,9 +58,6 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 		pathQueries: queries.With("path"),
 		ssspQueries: queries.With("sssp"),
 		islQueries:  queries.With("isl"),
-		pathSec:     querySec.With("path"),
-		ssspSec:     querySec.With("sssp"),
-		islSec:      querySec.With("isl"),
 		pathQ:       queryQ.With("path"),
 		ssspQ:       queryQ.With("sssp"),
 		islQ:        queryQ.With("isl"),

@@ -4,8 +4,9 @@ package obs
 // sketch: observations land in geometrically spaced buckets, so p50/p95/p99
 // estimates carry a bounded *relative* error (~1%) with no preset bucket
 // bounds — unlike Histogram, which is only as good as its configured
-// cumulative buckets. Observe is lock-free (two atomic adds plus a CAS
-// float sum), making it safe on the same hot paths as Counter.
+// cumulative buckets. Observe is lock-free (two atomic adds plus CAS
+// loops for the float sum and the extremes), making it safe on the same
+// hot paths as Counter.
 
 import (
 	"math"
@@ -25,6 +26,13 @@ const (
 	// 1 + log(max/min)/log(gamma) with max/min = 2.6e21 needs ~2493
 	// buckets. Values beyond the top clamp into the last bucket.
 	quantileBuckets = 2496
+	// mmUnset is XORed into the stored min/max bits so that a zero field
+	// means "nothing observed yet": the first observation then publishes
+	// through the same CAS loop as every later one, with no separate
+	// initialisation step for a concurrent observer to race past. It is
+	// the bit pattern of -0.0, which Observe folds into +0.0, so no stored
+	// value encodes to zero.
+	mmUnset = 1 << 63
 )
 
 var invLogQuantileGamma = 1 / math.Log(quantileGamma)
@@ -39,9 +47,8 @@ type Quantile struct {
 	counts  [quantileBuckets]atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
-	minBits atomic.Uint64 // math.Float64bits of the observed minimum
-	maxBits atomic.Uint64 // math.Float64bits of the observed maximum
-	hasMM   atomic.Uint32 // min/max initialised
+	minBits atomic.Uint64 // math.Float64bits(min) ^ mmUnset; 0 when empty
+	maxBits atomic.Uint64 // math.Float64bits(max) ^ mmUnset; 0 when empty
 }
 
 // quantileIndex maps a value to its bucket.
@@ -76,25 +83,35 @@ func (q *Quantile) Observe(v float64) {
 			break
 		}
 	}
-	if q.hasMM.Load() == 0 && q.hasMM.CompareAndSwap(0, 1) {
-		q.minBits.Store(math.Float64bits(v))
-		q.maxBits.Store(math.Float64bits(v))
-		return
+	if v == 0 {
+		v = 0 // fold -0.0 into +0.0: its bits are reserved by mmUnset
 	}
-	casFloatIf(&q.minBits, v, func(cur float64) bool { return v < cur })
-	casFloatIf(&q.maxBits, v, func(cur float64) bool { return v > cur })
+	casExtreme(&q.minBits, v, func(cur float64) bool { return v < cur })
+	casExtreme(&q.maxBits, v, func(cur float64) bool { return v > cur })
 }
 
-func casFloatIf(bits *atomic.Uint64, v float64, better func(cur float64) bool) {
+// casExtreme stores v into an mmUnset-encoded extreme if the slot is still
+// empty or v is better than the current value.
+func casExtreme(bits *atomic.Uint64, v float64, better func(cur float64) bool) {
+	enc := math.Float64bits(v) ^ mmUnset
 	for {
 		old := bits.Load()
-		if !better(math.Float64frombits(old)) {
+		if old != 0 && !better(math.Float64frombits(old^mmUnset)) {
 			return
 		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
+		if bits.CompareAndSwap(old, enc) {
 			return
 		}
 	}
+}
+
+// loadExtreme decodes an mmUnset-encoded extreme (0 when empty).
+func loadExtreme(bits *atomic.Uint64) float64 {
+	b := bits.Load()
+	if b == 0 {
+		return 0
+	}
+	return math.Float64frombits(b ^ mmUnset)
 }
 
 // Count returns the number of observations.
@@ -104,20 +121,10 @@ func (q *Quantile) Count() uint64 { return q.count.Load() }
 func (q *Quantile) Sum() float64 { return math.Float64frombits(q.sumBits.Load()) }
 
 // Min and Max return the exact observed extremes (0 before any Observe).
-func (q *Quantile) Min() float64 {
-	if q.hasMM.Load() == 0 {
-		return 0
-	}
-	return math.Float64frombits(q.minBits.Load())
-}
+func (q *Quantile) Min() float64 { return loadExtreme(&q.minBits) }
 
 // Max returns the largest observed value (0 before any Observe).
-func (q *Quantile) Max() float64 {
-	if q.hasMM.Load() == 0 {
-		return 0
-	}
-	return math.Float64frombits(q.maxBits.Load())
-}
+func (q *Quantile) Max() float64 { return loadExtreme(&q.maxBits) }
 
 // Quantile returns the streaming estimate of the p-quantile (p in [0,1]).
 // An empty sketch returns 0. Estimates are clamped to the exact observed

@@ -130,6 +130,43 @@ func TestQuantileConcurrent(t *testing.T) {
 	}
 }
 
+// TestQuantileFirstObservationRace starts many goroutines on a fresh
+// sketch at once, each observing one distinct value. Min and Max must be
+// exact however the first observations interleave.
+func TestQuantileFirstObservationRace(t *testing.T) {
+	const trials, workers = 5000, 8
+	for trial := 0; trial < trials; trial++ {
+		q := &Quantile{}
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(v float64) {
+				defer wg.Done()
+				start.Wait()
+				q.Observe(v)
+			}(float64(10 + w))
+		}
+		start.Done()
+		wg.Wait()
+		if lo, hi := q.Min(), q.Max(); lo != 10 || hi != 10+workers-1 {
+			t.Fatalf("trial %d: min/max = %g/%g, want 10/%d", trial, lo, hi, 10+workers-1)
+		}
+	}
+}
+
+func TestQuantileNegativeZero(t *testing.T) {
+	q := &Quantile{}
+	q.Observe(math.Copysign(0, -1))
+	if q.Count() != 1 || q.Min() != 0 || q.Max() != 0 {
+		t.Fatalf("count/min/max = %d/%g/%g, want 1/0/0", q.Count(), q.Min(), q.Max())
+	}
+	q.Observe(-1)
+	if q.Min() != -1 || q.Max() != 0 {
+		t.Fatalf("min/max = %g/%g, want -1/0", q.Min(), q.Max())
+	}
+}
+
 func TestQuantileVec(t *testing.T) {
 	reg := NewRegistry()
 	vec := reg.QuantileVec("rpc_ms", "per-method latency", "method")

@@ -84,7 +84,7 @@ func TestCDFQuantiles(t *testing.T) {
 	if got := c.Quantile(0.25); !almostEq(got, 2, 1e-12) {
 		t.Fatalf("Q25 = %v", got)
 	}
-	// Interpolation between order stats.
+	// Linear interpolation between order stats.
 	c2 := NewCDF(0, 10)
 	if got := c2.Quantile(0.3); !almostEq(got, 3, 1e-12) {
 		t.Fatalf("interpolated Q30 = %v", got)
