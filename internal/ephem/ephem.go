@@ -11,7 +11,10 @@
 //     nearby instants reuse one propagation instead of repeating it. The
 //     cache is two-tier: frames on the keyframe grid (multiples of
 //     GridStepSec) live in a protected ring that sequential sweeps cannot
-//     flush, all other instants share an LRU pool.
+//     flush, all other instants share an LRU pool;
+//   - answers per-satellite reads (PositionAt, PositionsAt) for consumers
+//     that test only a few satellites at an instant, without building,
+//     caching or looking up a frame.
 //
 // Frames returned by SnapshotAt are immutable and shared: callers must not
 // modify them, and may retain them for as long as they like (eviction only
@@ -26,6 +29,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/constellation"
@@ -87,11 +91,13 @@ type frame struct {
 // Stats is a point-in-time view of one engine's cache behaviour.
 type Stats struct {
 	// Hits and Misses count cache lookups across SnapshotAt and
-	// SnapshotInto.
+	// SnapshotInto. Per-satellite reads never look up the cache and count
+	// as neither.
 	Hits, Misses uint64
 	// Frames is the number of cached frames currently held (both tiers).
 	Frames int
-	// PropagatedSats counts individual satellite propagations performed.
+	// PropagatedSats counts individual satellite propagations performed,
+	// by frame propagations and per-satellite reads alike.
 	PropagatedSats uint64
 }
 
@@ -108,7 +114,8 @@ type Engine struct {
 	grid      map[int64]*frame         // grid index → keyframe
 	gridOrder []int64                  // grid insertion order (FIFO eviction)
 
-	hits, misses, propagated uint64 // guarded by mu
+	hits, misses uint64 // guarded by mu
+	propagated   atomic.Uint64
 }
 
 // New builds an engine over c. c must be non-nil and already built.
@@ -142,16 +149,17 @@ func (e *Engine) Stats() Stats {
 		Hits:           e.hits,
 		Misses:         e.misses,
 		Frames:         len(e.misc) + len(e.grid),
-		PropagatedSats: e.propagated,
+		PropagatedSats: e.propagated.Load(),
 	}
 }
 
-// gridIndex reports whether t lies exactly on the keyframe grid and, if
-// so, its grid index.
+// gridIndex reports whether t lies exactly on the keyframe grid — t is
+// float64(k)·GridStepSec for an integer k — and, if so, its grid index k.
+// Testing t/GridStepSec for integrality instead would map an instant one
+// ulp off the grid to the same index, and so to the wrong frame.
 func (e *Engine) gridIndex(t float64) (int64, bool) {
-	q := t / e.cfg.GridStepSec
-	r := math.Round(q)
-	if q != r || math.Abs(r) > 1e15 { // beyond 2^53 the grid is meaningless
+	r := math.Round(t / e.cfg.GridStepSec)
+	if r*e.cfg.GridStepSec != t || math.Abs(r) > 1e15 { // beyond 2^53 the grid is meaningless
 		return 0, false
 	}
 	return int64(r), true
@@ -274,13 +282,41 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 		}
 	})
 	e.m.propagateQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	e.m.propagated.Add(uint64(len(sats)))
-	e.mu.Lock()
-	e.propagated += uint64(len(sats))
-	e.mu.Unlock()
+	e.countPropagated(len(sats))
 	if sp != nil {
 		sp.End()
 	}
+}
+
+// PositionAt returns satellite id's ECEF position at t seconds after
+// epoch, bit-identical to SnapshotAt(t)[id]. It propagates that one
+// satellite without touching the frame cache.
+func (e *Engine) PositionAt(id int, t float64) geo.Vec3 {
+	e.countPropagated(1)
+	return e.c.Satellites[id].Prop.ECEFAt(t)
+}
+
+// PositionsAt fills dst[i] with satellite ids[i]'s ECEF position at t,
+// bit-identical to SnapshotAt(t)[ids[i]], and returns dst[:len(ids)]. dst
+// is grown when too short. Like PositionAt it bypasses the frame cache.
+func (e *Engine) PositionsAt(t float64, ids []int, dst []geo.Vec3) []geo.Vec3 {
+	if cap(dst) < len(ids) {
+		dst = make([]geo.Vec3, len(ids))
+	}
+	dst = dst[:len(ids)]
+	sats := e.c.Satellites
+	for i, id := range ids {
+		dst[i] = sats[id].Prop.ECEFAt(t)
+	}
+	e.countPropagated(len(ids))
+	return dst
+}
+
+// countPropagated charges n satellite propagations to the engine's Stats
+// and the shared ephem_propagated_satellites_total counter.
+func (e *Engine) countPropagated(n int) {
+	e.m.propagated.Add(uint64(n))
+	e.propagated.Add(uint64(n))
 }
 
 // minParallelSats is the frame size below which fan-out costs more than

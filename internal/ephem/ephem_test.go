@@ -141,10 +141,20 @@ func TestConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				if p := eng.PositionAt(k, tt); p != snap[k] {
+					t.Errorf("PositionAt(%d, %g) = %v, frame has %v", k, tt, p, snap[k])
+					return
+				}
+				eng.PositionsAt(tt+0.25, []int{g, k}, dst[:0])
 			}
 		}(g)
 	}
 	wg.Wait()
+	// Every SnapshotInto and per-satellite read propagates; SnapshotAt
+	// misses add whole frames on top.
+	if st, floor := eng.Stats(), uint64(8*30*(eng.Size()+3)); st.PropagatedSats < floor {
+		t.Fatalf("PropagatedSats = %d, want at least %d", st.PropagatedSats, floor)
+	}
 }
 
 // TestGridIndex covers grid classification edge cases, including
@@ -167,6 +177,30 @@ func TestGridIndex(t *testing.T) {
 	}
 }
 
+// TestSnapshotNearGridExact pins frames at instants one ulp off the grid:
+// with a grid step that is not a whole number of seconds, t/GridStepSec
+// can round to an integer there, and such an instant must still get its
+// own frame, not the neighbouring keyframe's.
+func TestSnapshotNearGridExact(t *testing.T) {
+	c := testConst(t)
+	const step = 2.2222222222222223
+	for _, keyFirst := range []bool{true, false} {
+		eng := New(c, Config{GridStepSec: step, Registry: obs.NewRegistry()})
+		for k := -900; k <= 900; k += 7 {
+			key := float64(k) * step
+			ts := []float64{key, math.Nextafter(key, math.Inf(-1)), math.Nextafter(key, math.Inf(1))}
+			if !keyFirst {
+				ts[0], ts[1] = ts[1], ts[0]
+			}
+			for _, tt := range ts {
+				if got, want := eng.SnapshotAt(tt)[5], c.Satellites[5].Prop.ECEFAt(tt); !sameBits(got, want) {
+					t.Fatalf("t=%v (keyframe %v): SnapshotAt %v != ECEFAt %v", tt, key, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	eng := testEngine(t, Config{CacheFrames: -1, GridFrames: -1})
 	a := eng.SnapshotAt(0)
@@ -183,5 +217,69 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	if math.IsNaN(a[0].X) {
 		t.Fatal("NaN position")
+	}
+}
+
+// TestPerSatelliteReadsExact pins PositionAt and PositionsAt to the frame
+// path bit for bit, for every satellite at on-grid and off-grid instants,
+// and checks their accounting: every read counts as a propagation, none
+// as a cache lookup.
+func TestPerSatelliteReadsExact(t *testing.T) {
+	eng := testEngine(t, Config{Workers: 4})
+	n := eng.Size()
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = n - 1 - i // descending: the batch form must not assume order
+	}
+	var dst []geo.Vec3
+	for _, tt := range []float64{0, 60, 3600, -120, 0.5, 61.25, 1e-9, -37.7, 5399.999} {
+		frame := eng.SnapshotAt(tt)
+		before := eng.Stats()
+		for id := 0; id < n; id++ {
+			if got := eng.PositionAt(id, tt); !sameBits(got, frame[id]) {
+				t.Fatalf("t=%g sat=%d: PositionAt %v != SnapshotAt %v", tt, id, got, frame[id])
+			}
+		}
+		dst = eng.PositionsAt(tt, ids, dst)
+		if len(dst) != n {
+			t.Fatalf("PositionsAt returned %d positions, want %d", len(dst), n)
+		}
+		for i, id := range ids {
+			if !sameBits(dst[i], frame[id]) {
+				t.Fatalf("t=%g sat=%d: PositionsAt %v != SnapshotAt %v", tt, id, dst[i], frame[id])
+			}
+		}
+		after := eng.Stats()
+		if after.Hits != before.Hits || after.Misses != before.Misses || after.Frames != before.Frames {
+			t.Fatalf("t=%g: per-satellite reads touched the cache: %+v -> %+v", tt, before, after)
+		}
+		if got, want := after.PropagatedSats-before.PropagatedSats, uint64(2*n); got != want {
+			t.Fatalf("t=%g: PropagatedSats rose by %d, want %d", tt, got, want)
+		}
+	}
+	if got := eng.PositionsAt(0, nil, dst); len(got) != 0 {
+		t.Fatalf("empty id list returned %d positions", len(got))
+	}
+}
+
+func sameBits(a, b geo.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// TestPerSatelliteReadsMetric checks that per-satellite reads feed the
+// shared ephem_propagated_satellites_total family and not the cache
+// counters.
+func TestPerSatelliteReadsMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := New(testConst(t), Config{Registry: reg})
+	eng.PositionAt(3, 42)
+	eng.PositionsAt(42, []int{0, 1, 2}, nil)
+	if got := reg.Counter("ephem_propagated_satellites_total", "").Value(); got != 4 {
+		t.Fatalf("ephem_propagated_satellites_total = %d, want 4", got)
+	}
+	if h, m := reg.Counter("ephem_cache_hits_total", "").Value(), reg.Counter("ephem_cache_misses_total", "").Value(); h != 0 || m != 0 {
+		t.Fatalf("cache counters moved: hits %d misses %d", h, m)
 	}
 }

@@ -79,13 +79,13 @@ func pooledPreset(name string, build func(constellation.Config) (*constellation.
 	return c, nil
 }
 
-// Sweep-sized shared-engine caches. A figure-scale session sweep touches a
-// few hundred distinct instants; holding them all lets MinMax and Sticky
-// passes (and later figures) replay each other's frames instead of
-// re-propagating. 384 Starlink-scale frames is ~40 MiB — acceptable for
-// the batch figure/benchmark binaries that are this package's only
-// consumers. The protected grid tier additionally pins the 60 s keyframes
-// that Sticky lookahead sampling keeps revisiting.
+// Sweep-sized shared-engine caches. Meetup sessions request full frames
+// only at hand-off instants (ISL transfer pricing) and at the 60 s grid
+// keyframes their candidate windows are built from. The LRU tier lets concurrent groups and later
+// figures replay the hand-off and sweep frames they share; the protected
+// grid tier pins the keyframes every group and both policies revisit.
+// 384 Starlink-scale frames is ~40 MiB — acceptable for the batch
+// figure/benchmark binaries that are this package's only consumers.
 const (
 	sweepCacheFrames = 384
 	sweepGridFrames  = 128

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/plot"
 )
 
 // The tests here run the real experiments at reduced time resolution so the
@@ -274,6 +278,38 @@ func TestFig5SouthernSkew(t *testing.T) {
 func TestFig5Validation(t *testing.T) {
 	if _, err := Fig5(ConstellationSet{Starlink: true}, 0, 0); err == nil {
 		t.Fatal("n=0 accepted")
+	}
+}
+
+// TestFig67DeterministicAcrossGOMAXPROCS pins the byte-identity contract
+// for the Sticky/MinMax study: the Fig 6/7 CSV renders and hand-off counts
+// must not depend on how many sweep workers share the ephemeris engine.
+func TestFig67DeterministicAcrossGOMAXPROCS(t *testing.T) {
+	cfg := Fig67Config{Groups: 6, DurationSec: 1200, StepSec: 5}
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := Fig67(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		mm6, st6 := res.Fig6Series()
+		mm7, st7 := res.Fig7Series()
+		if err := plot.WriteCSVRagged(&b, mm6, st6); err != nil {
+			t.Fatal(err)
+		}
+		if err := plot.WriteCSVRagged(&b, mm7, st7); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "handoffs minmax=%d sticky=%d groups=%d\n", res.HandoffsMinMax, res.HandoffsSticky, res.GroupsSimulated)
+		return b.String()
+	}
+	one, four := render(1), render(4)
+	if one != four {
+		t.Fatalf("Fig 6/7 output differs between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s\n--- 4 ---\n%s", one, four)
+	}
+	if !strings.Contains(one, "handoffs minmax=") || strings.Contains(one, "minmax=0 ") {
+		t.Fatalf("degenerate Fig 6/7 run:\n%s", one)
 	}
 }
 

@@ -133,9 +133,11 @@ func Fig67(cfg Fig67Config) (Fig67Result, error) {
 		if err != nil {
 			return err
 		}
-		// Workers share the pooled engine: frames one group's session
-		// propagates (steps and Sticky lookahead keyframes alike) are
-		// cache hits for every other group and for the second policy pass.
+		// Workers share the pooled engine. Sessions read per-satellite
+		// positions and candidate windows, so the frames they share are
+		// the 60 s grid keyframes the windows are built from (cache hits
+		// for every other group and the second policy pass) and the
+		// full frames hand-off transfer pricing needs.
 		prov := meetup.NewProviderFor(engineFor(c))
 		mm, errM := p.Simulate(prov, meetup.MinMax, 0, cfg.DurationSec, cfg.StepSec)
 		st, errS := p.Simulate(prov, meetup.Sticky, 0, cfg.DurationSec, cfg.StepSec)

@@ -133,10 +133,13 @@ type Planner struct {
 
 	users    []geo.Vec3
 	centroid geo.Vec3
-	// prefilterChord2[id]: a satellite farther (squared chord) than this
-	// from the group centroid cannot be visible to all users; used to prune
-	// the per-step candidate scan.
-	prefilterChord2 []float64
+	// prefilterChord[id]: a satellite farther than this from the group
+	// centroid cannot be visible to all users; used to prune the per-step
+	// candidate scan. prefilterChord2 holds the squares.
+	prefilterChord, prefilterChord2 []float64
+	// vMax[id] bounds satellite id's ECEF speed in km/s; with the chord it
+	// sizes the candidate windows (window.go).
+	vMax []float64
 }
 
 // NewPlanner builds a planner for the group. The grid may be shared across
@@ -164,11 +167,14 @@ func NewPlanner(c *constellation.Constellation, grid *isl.Grid, users []geo.LatL
 			maxSpread = d
 		}
 	}
+	p.prefilterChord = make([]float64, c.Size())
 	p.prefilterChord2 = make([]float64, c.Size())
-	for id := range c.Satellites {
-		sh := c.Shells[c.Satellites[id].ShellIndex]
+	p.vMax = make([]float64, c.Size())
+	for id, s := range c.Satellites {
+		sh := c.Shells[s.ShellIndex]
 		d := visibility.MaxSlantRangeKm(sh.AltitudeKm, sh.MinElevationDeg) + maxSpread
-		p.prefilterChord2[id] = d * d
+		p.prefilterChord[id], p.prefilterChord2[id] = d, d*d
+		p.vMax[id] = speedBoundKmS(s.Prop)
 	}
 	return p, nil
 }
@@ -176,10 +182,9 @@ func NewPlanner(c *constellation.Constellation, grid *isl.Grid, users []geo.LatL
 // Users returns the group size.
 func (p *Planner) Users() int { return len(p.users) }
 
-// groupRTT returns the max RTT over users to satellite id, and whether the
-// satellite is visible to every user.
-func (p *Planner) groupRTT(snap []geo.Vec3, id int) (float64, bool) {
-	pos := snap[id]
+// groupRTT returns the max RTT over users to satellite id at pos, and
+// whether the satellite is visible to every user.
+func (p *Planner) groupRTT(id int, pos geo.Vec3) (float64, bool) {
 	worst := 0.0
 	for _, u := range p.users {
 		rel := pos.Sub(u)
@@ -194,14 +199,20 @@ func (p *Planner) groupRTT(snap []geo.Vec3, id int) (float64, bool) {
 	return worst, true
 }
 
+// candidate applies the centroid prefilter, then groupRTT, to satellite id
+// at pos.
+func (p *Planner) candidate(id int, pos geo.Vec3) (float64, bool) {
+	rel := pos.Sub(p.centroid)
+	if rel.Dot(rel) > p.prefilterChord2[id] {
+		return 0, false
+	}
+	return p.groupRTT(id, pos)
+}
+
 // Eligible appends all candidates at the snapshot to dst and returns it.
 func (p *Planner) Eligible(snap []geo.Vec3, dst []Candidate) []Candidate {
 	for id, pos := range snap {
-		rel := pos.Sub(p.centroid)
-		if rel.Dot(rel) > p.prefilterChord2[id] {
-			continue
-		}
-		if rtt, ok := p.groupRTT(snap, id); ok {
+		if rtt, ok := p.candidate(id, pos); ok {
 			dst = append(dst, Candidate{SatID: id, GroupRTTMs: rtt})
 		}
 	}
@@ -215,11 +226,7 @@ var ErrNoCandidate = fmt.Errorf("meetup: no satellite visible to the whole group
 func (p *Planner) SelectMinMax(snap []geo.Vec3) (Candidate, error) {
 	best := Candidate{SatID: -1, GroupRTTMs: math.Inf(1)}
 	for id, pos := range snap {
-		rel := pos.Sub(p.centroid)
-		if rel.Dot(rel) > p.prefilterChord2[id] {
-			continue
-		}
-		if rtt, ok := p.groupRTT(snap, id); ok && rtt < best.GroupRTTMs {
+		if rtt, ok := p.candidate(id, pos); ok && rtt < best.GroupRTTMs {
 			best = Candidate{SatID: id, GroupRTTMs: rtt}
 		}
 	}
@@ -236,8 +243,11 @@ func (p *Planner) SelectMinMax(snap []geo.Vec3) (Candidate, error) {
 //  3. among those, the one whose eventual hand-off to its successor is
 //     cheapest (lowest state-transfer latency).
 func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
-	snap := prov.At(t0)
-	elig := p.Eligible(snap, nil)
+	return p.selectSticky(p.newWindow(prov), t0)
+}
+
+func (p *Planner) selectSticky(w *window, t0 float64) (Candidate, error) {
+	elig := w.eligible(t0, nil)
 	if len(elig) == 0 {
 		return Candidate{}, ErrNoCandidate
 	}
@@ -255,25 +265,28 @@ func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
 	}
 
 	// Lookahead: march forward in time, dropping band members as they lose
-	// full-group visibility; record each member's end time.
+	// full-group visibility; record each member's end time. Only the
+	// members still alive are propagated.
 	end := make(map[int]float64, len(band))
-	alive := make([]Candidate, len(band))
-	copy(alive, band)
+	alive := make([]int, len(band))
+	for i, c := range band {
+		alive[i] = c.SatID
+	}
 	horizon := t0 + p.cfg.LookaheadHorizonSec
 	for t := t0 + p.cfg.LookaheadStepSec; t <= horizon && len(alive) > 0; t += p.cfg.LookaheadStepSec {
-		fsnap := prov.At(t)
+		w.pos = w.prov.eng.PositionsAt(t, alive, w.pos)
 		keep := alive[:0]
-		for _, c := range alive {
-			if _, ok := p.groupRTT(fsnap, c.SatID); ok {
-				keep = append(keep, c)
+		for i, id := range alive {
+			if _, ok := p.groupRTT(id, w.pos[i]); ok {
+				keep = append(keep, id)
 			} else {
-				end[c.SatID] = t
+				end[id] = t
 			}
 		}
 		alive = keep
 	}
-	for _, c := range alive { // censored at the horizon
-		end[c.SatID] = horizon
+	for _, id := range alive { // censored at the horizon
+		end[id] = horizon
 	}
 
 	// Top PoolSize by time-until-hand-off (stable on RTT then ID for
@@ -295,16 +308,16 @@ func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
 
 	// Tie-break: cheapest hand-off to the successor at each candidate's end
 	// time. Successor = the MinMax choice then (excluding the candidate).
+	// best keeps its t0 RTT from the eligibility scan.
 	best := pool[0]
 	bestTransfer := math.Inf(1)
 	for _, c := range pool {
 		te := end[c.SatID]
-		fsnap := prov.At(te)
-		succ, err := p.selectMinMaxExcluding(fsnap, c.SatID)
+		succ, err := w.minMax(te, c.SatID)
 		if err != nil {
 			continue
 		}
-		tr, err := p.TransferLatencyMs(fsnap, c.SatID, succ.SatID)
+		tr, err := p.TransferLatencyMs(w.prov.At(te), c.SatID, succ.SatID)
 		if err != nil {
 			continue
 		}
@@ -312,32 +325,6 @@ func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
 			bestTransfer = tr
 			best = c
 		}
-	}
-	// Re-evaluate the chosen candidate's RTT at t0 (snap may have been
-	// overwritten by lookahead reuse).
-	snap = prov.At(t0)
-	if rtt, ok := p.groupRTT(snap, best.SatID); ok {
-		best.GroupRTTMs = rtt
-	}
-	return best, nil
-}
-
-func (p *Planner) selectMinMaxExcluding(snap []geo.Vec3, exclude int) (Candidate, error) {
-	best := Candidate{SatID: -1, GroupRTTMs: math.Inf(1)}
-	for id, pos := range snap {
-		if id == exclude {
-			continue
-		}
-		rel := pos.Sub(p.centroid)
-		if rel.Dot(rel) > p.prefilterChord2[id] {
-			continue
-		}
-		if rtt, ok := p.groupRTT(snap, id); ok && rtt < best.GroupRTTMs {
-			best = Candidate{SatID: id, GroupRTTMs: rtt}
-		}
-	}
-	if best.SatID < 0 {
-		return Candidate{}, ErrNoCandidate
 	}
 	return best, nil
 }
@@ -372,7 +359,7 @@ func (p *Planner) TransferLatencyMs(snap []geo.Vec3, a, b int) (float64, error) 
 func (p *Planner) TimeToExpiry(prov *Provider, satID int, t0 float64) (warnSec float64, capped bool) {
 	horizon := t0 + p.cfg.LookaheadHorizonSec
 	for t := t0 + p.cfg.LookaheadStepSec; t <= horizon; t += p.cfg.LookaheadStepSec {
-		if _, ok := p.groupRTT(prov.At(t), satID); !ok {
+		if _, ok := p.groupRTT(satID, prov.eng.PositionAt(satID, t)); !ok {
 			return t - t0, false
 		}
 	}

@@ -82,7 +82,7 @@ func TestEligibleAllVisible(t *testing.T) {
 		t.Fatal("no eligible satellite for a compact group on a dense shell")
 	}
 	for _, cand := range elig {
-		rtt, ok := p.groupRTT(snap, cand.SatID)
+		rtt, ok := p.groupRTT(cand.SatID, snap[cand.SatID])
 		if !ok {
 			t.Fatalf("eligible sat %d not visible to all", cand.SatID)
 		}
@@ -321,13 +321,19 @@ func TestTimeToExpiry(t *testing.T) {
 	if warn <= 0 || warn > 1200 {
 		t.Fatalf("warning time %v s implausible", warn)
 	}
-	// At t0+warn the satellite is no longer fully visible; just before, it is.
-	if _, ok := p.groupRTT(prov.At(warn+p.cfg.LookaheadStepSec), cand.SatID); ok {
-		t.Fatal("satellite still visible after reported expiry")
+	// At t0+warn the satellite is no longer fully visible; one lookahead
+	// step before, it still is.
+	if _, ok := p.groupRTT(cand.SatID, prov.At(warn)[cand.SatID]); ok {
+		t.Fatal("satellite still visible at reported expiry")
+	}
+	if step := p.cfg.LookaheadStepSec; warn > step {
+		if _, ok := p.groupRTT(cand.SatID, prov.At(warn - step)[cand.SatID]); !ok {
+			t.Fatal("satellite already invisible one step before reported expiry")
+		}
 	}
 	// A satellite that is already invisible expires within one step.
 	for id := 0; id < c.Size(); id++ {
-		if _, ok := p.groupRTT(prov.At(0), id); !ok {
+		if _, ok := p.groupRTT(id, prov.At(0)[id]); !ok {
 			w, capped2 := p.TimeToExpiry(prov, id, 0)
 			if capped2 || w > p.cfg.LookaheadStepSec {
 				t.Fatalf("invisible sat %d has warning %v", id, w)

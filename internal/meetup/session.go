@@ -62,17 +62,23 @@ func (r SessionResult) TransferLatencies() []float64 {
 // paper's "picks the latency-optimal satellite at each instant"). Sticky
 // re-runs the Sticky selection only when the current server stops being
 // visible to the whole group.
+//
+// Each step reads the current server's position alone; MinMax scans and
+// Sticky selections read their candidate window (window.go). Only a
+// hand-off, whose ISL transfer pricing needs every satellite, fetches a
+// full frame.
 func (p *Planner) Simulate(prov *Provider, policy Policy, t0, durationSec, stepSec float64) (SessionResult, error) {
 	if durationSec <= 0 || stepSec <= 0 {
 		return SessionResult{}, fmt.Errorf("meetup: bad session bounds duration=%v step=%v", durationSec, stepSec)
 	}
 	res := SessionResult{Policy: policy, StartSec: t0, DurationSec: durationSec}
+	w := p.newWindow(prov)
 
 	sel := func(t float64) (Candidate, error) {
 		if policy == Sticky {
-			return p.SelectSticky(prov, t)
+			return p.selectSticky(w, t)
 		}
-		return p.SelectMinMax(prov.At(t))
+		return w.minMax(t, -1)
 	}
 
 	cur, err := sel(t0)
@@ -83,14 +89,13 @@ func (p *Planner) Simulate(prov *Provider, policy Policy, t0, durationSec, stepS
 	res.RTT.Add(cur.GroupRTTMs)
 
 	for t := t0 + stepSec; t <= t0+durationSec; t += stepSec {
-		snap := prov.At(t)
-		rtt, visible := p.groupRTT(snap, cur.SatID)
+		rtt, visible := p.groupRTT(cur.SatID, prov.eng.PositionAt(cur.SatID, t))
 
 		needSwitch := false
 		var next Candidate
 		switch policy {
 		case MinMax:
-			mm, err := p.SelectMinMax(snap)
+			mm, err := w.minMax(t, -1)
 			if err != nil {
 				// Coverage gap: no server for the group at all. Keep the
 				// (invisible) current selection pending and retry; counts as
@@ -106,7 +111,7 @@ func (p *Planner) Simulate(prov *Provider, policy Policy, t0, durationSec, stepS
 			}
 		case Sticky:
 			if !visible {
-				st, err := p.SelectSticky(prov, t)
+				st, err := p.selectSticky(w, t)
 				if err != nil {
 					continue // coverage gap; retry next step
 				}
@@ -117,8 +122,7 @@ func (p *Planner) Simulate(prov *Provider, policy Policy, t0, durationSec, stepS
 		}
 
 		if needSwitch {
-			snap = prov.At(t) // SelectSticky lookahead may have moved the buffer
-			transfer, terr := p.TransferLatencyMs(snap, cur.SatID, next.SatID)
+			transfer, terr := p.TransferLatencyMs(prov.At(t), cur.SatID, next.SatID)
 			if terr != nil {
 				transfer = 0 // disconnected grid (degenerate topologies only)
 			}
