@@ -7,17 +7,14 @@ package edgesim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"repro/internal/compute"
 	"repro/internal/constellation"
 	"repro/internal/geo"
-	"repro/internal/netsim"
 	"repro/internal/serve"
 	"repro/internal/stats"
-	"repro/internal/units"
-	"repro/internal/visibility"
 )
 
 // Workload describes the request stream from one ground site.
@@ -81,30 +78,30 @@ type Config struct {
 	CoresPerSat int
 	// Policy selects the attachment strategy.
 	Policy Policy
-	// DurationSec bounds the simulated window; satellite positions are
-	// frozen at the snapshot (windows of tens of seconds — a satellite
-	// moves ~7.5 km/s, small against the coverage cone).
+	// DurationSec bounds the arrival window; the candidate satellites are
+	// frozen at t=0 (windows of tens of seconds — a satellite moves
+	// ~7.5 km/s, small against the coverage cone).
 	DurationSec float64
-	// SnapshotSec is the constellation epoch offset for the window.
-	SnapshotSec float64
 }
 
 // Result summarises the run.
 type Result struct {
-	// Completed counts requests finished within the window.
+	// Completed counts requests served (every admitted request completes).
 	Completed int
 	// ResponseMs aggregates end-to-end response times (up + queue +
 	// service + down).
 	ResponseMs *stats.CDF
-	// PropagationMs aggregates the pure network component.
-	PropagationMs *stats.CDF
 	// ServersUsed counts distinct satellites that served requests.
 	ServersUsed int
-	// MaxUtilization is the busiest server's utilisation.
+	// MaxUtilization is the busiest server's utilisation over [0, last
+	// completion].
 	MaxUtilization float64
 }
 
-// Run simulates the workload against the constellation.
+// Run simulates the workload against the constellation as a one-site
+// internal/serve run: an unbounded queue per satellite, and one refresh
+// slice as wide as the arrival window, so every arrival sees the t=0
+// candidate set.
 func Run(c *constellation.Constellation, cfg Config, w Workload) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
@@ -119,107 +116,40 @@ func Run(c *constellation.Constellation, cfg Config, w Workload) (Result, error)
 		return Result{}, fmt.Errorf("edgesim: invalid site %v", cfg.Site)
 	}
 
-	obs := visibility.NewObserver(c)
-	snap := c.Snapshot(cfg.SnapshotSec)
-	ground := cfg.Site.ECEF()
-	passes := obs.Reachable(ground, snap, nil)
-	if len(passes) == 0 {
+	server := compute.DefaultServerSpec()
+	server.Cores = cfg.CoresPerSat
+	eng, err := serve.NewEngine(c, serve.Config{
+		Sites:      []serve.Site{{Name: "edge", Loc: cfg.Site, Weight: 1}},
+		Policy:     cfg.Policy.shared(),
+		Server:     server,
+		QueueCap:   -1,
+		RefreshSec: cfg.DurationSec,
+		Workers:    1, // one site: nearest loads one satellite, least-loaded replays serially
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("edgesim: %w", err)
+	}
+	rng := rand.New(rand.NewSource(w.Seed))
+	var reqs []serve.Request
+	for t := rng.ExpFloat64() / w.ArrivalPerSec; t < cfg.DurationSec; t += rng.ExpFloat64() / w.ArrivalPerSec {
+		reqs = append(reqs, serve.Request{TSec: t, ServiceMs: w.ServiceSec * 1000})
+	}
+	if err := eng.Feed(reqs); err != nil {
+		return Result{}, fmt.Errorf("edgesim: %w", err)
+	}
+	eng.RunUntil(cfg.DurationSec)
+	for eng.Result().InFlight > 0 {
+		eng.RunUntil(eng.Now() + cfg.DurationSec)
+	}
+
+	r := eng.Result()
+	if r.Shed[serve.ShedNoCoverage] > 0 {
 		return Result{}, fmt.Errorf("edgesim: no satellite in view of %v", cfg.Site)
 	}
-	sort.Slice(passes, func(i, j int) bool { return passes[i].SlantKm < passes[j].SlantKm })
-
-	sim := netsim.New()
-	// Per-satellite core banks: each core is a unit-rate FIFO resource, so
-	// one request always costs its full ServiceSec on one core.
-	servers := make([][]*netsim.Resource, len(passes))
-	for i := range passes {
-		servers[i] = make([]*netsim.Resource, cfg.CoresPerSat)
-		for k := range servers[i] {
-			r, err := netsim.NewResource(sim, fmt.Sprintf("sat-%d-core-%d", passes[i].SatID, k), 1)
-			if err != nil {
-				return Result{}, err
-			}
-			servers[i][k] = r
-		}
-	}
-	freeAt := func(i int) (int, float64) {
-		bestK, best := 0, math.Inf(1)
-		for k, r := range servers[i] {
-			if b := r.BusyUntil(); b < best {
-				best = b
-				bestK = k
-			}
-		}
-		return bestK, best
-	}
-
-	res := Result{ResponseMs: stats.NewCDF(), PropagationMs: stats.NewCDF()}
-	used := make(map[int]bool)
-	rng := rand.New(rand.NewSource(w.Seed))
-
-	var arrive func()
-	schedule := func() {
-		gap := rng.ExpFloat64() / w.ArrivalPerSec
-		if sim.Now()+gap < cfg.DurationSec {
-			if _, err := sim.After(gap, arrive); err != nil {
-				panic(err) // positive delay by construction
-			}
-		}
-	}
-	// Candidates for the shared policy, ordered by ascending propagation
-	// (passes are slant-sorted above); only the load fields change per
-	// arrival.
-	policy := cfg.Policy.shared()
-	cands := make([]serve.Candidate, len(passes))
-	for i, p := range passes {
-		cands[i] = serve.Candidate{SatID: p.SatID, OneWayMs: units.PropagationDelayMs(p.SlantKm)}
-	}
-
-	arrive = func() {
-		start := sim.Now()
-		for i := range cands {
-			_, cands[i].FreeAtSec = freeAt(i)
-		}
-		idx := policy.Pick(start, -1, cands)
-		if idx < 0 {
-			panic("edgesim: policy refused a non-empty candidate set")
-		}
-		p := passes[idx]
-		used[p.SatID] = true
-		oneWay := cands[idx].OneWayMs / 1000 // seconds
-
-		// The request reaches the satellite after the uplink delay, then
-		// queues for CPU; the response rides back down.
-		if _, err := sim.After(oneWay, func() {
-			core, _ := freeAt(idx)
-			if _, err := servers[idx][core].Submit(w.ServiceSec, func(finish float64) {
-				respSec := finish - start + oneWay // add the downlink
-				res.Completed++
-				res.ResponseMs.Add(respSec * 1000)
-				res.PropagationMs.Add(2 * oneWay * 1000)
-			}); err != nil {
-				panic(err) // non-negative size by validation
-			}
-		}); err != nil {
-			panic(err)
-		}
-		schedule()
-	}
-	if _, err := sim.At(0, func() { schedule() }); err != nil {
-		return Result{}, err
-	}
-	sim.RunAll()
-
-	res.ServersUsed = len(used)
-	for _, bank := range servers {
-		// Server utilisation = mean over its cores.
-		sum := 0.0
-		for _, r := range bank {
-			sum += r.Utilization()
-		}
-		if u := sum / float64(len(bank)); u > res.MaxUtilization {
-			res.MaxUtilization = u
-		}
+	res := Result{Completed: r.Served, ResponseMs: r.LatencyMs, ServersUsed: r.SatsUsed}
+	if r.LastDoneSec > 0 {
+		// serve divides busy time by [0, Now]; rescale to [0, last completion].
+		res.MaxUtilization = slices.Max(r.Utilization) * eng.Now() / r.LastDoneSec
 	}
 	return res, nil
 }

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
+	"repro/internal/units"
+	"repro/internal/visibility"
 )
 
 func testConst(t testing.TB) *constellation.Constellation {
@@ -25,6 +27,21 @@ func baseCfg() Config {
 		Policy:      Nearest,
 		DurationSec: 30,
 	}
+}
+
+// propagationFloorMs is the round-trip propagation to the nearest satellite
+// in view of the site at t=0: no response can beat it.
+func propagationFloorMs(t *testing.T, c *constellation.Constellation, site geo.LatLon) float64 {
+	t.Helper()
+	passes := visibility.NewObserver(c).Reachable(site.ECEF(), c.Snapshot(0), nil)
+	if len(passes) == 0 {
+		t.Fatalf("no satellite in view of %v", site)
+	}
+	nearest := passes[0].SlantKm
+	for _, p := range passes[1:] {
+		nearest = min(nearest, p.SlantKm)
+	}
+	return 2 * units.PropagationDelayMs(nearest)
 }
 
 func TestValidation(t *testing.T) {
@@ -69,8 +86,8 @@ func TestLightLoadResponseNearPropagation(t *testing.T) {
 		t.Fatalf("only %d requests completed", r.Completed)
 	}
 	// At light load, response ≈ propagation + service (no queueing):
-	// median within ~3 ms of the propagation median plus 2 ms service.
-	wantFloor := r.PropagationMs.Median() + w.ServiceSec*1000
+	// median within ~3 ms of the nearest round trip plus 2 ms service.
+	wantFloor := propagationFloorMs(t, c, baseCfg().Site) + w.ServiceSec*1000
 	med := r.ResponseMs.Median()
 	if med < wantFloor-0.001 {
 		t.Fatalf("median response %v below physical floor %v", med, wantFloor)
@@ -95,8 +112,23 @@ func TestOverloadSaturatesNearest(t *testing.T) {
 		t.Fatalf("overloaded server utilization %v", r.MaxUtilization)
 	}
 	// Queueing dominates: p99 far above the propagation floor.
-	if r.ResponseMs.Quantile(0.99) < 10*r.PropagationMs.Median() {
+	if r.ResponseMs.Quantile(0.99) < 10*propagationFloorMs(t, c, baseCfg().Site) {
 		t.Fatalf("overload p99 %v ms suspiciously low", r.ResponseMs.Quantile(0.99))
+	}
+}
+
+func TestZeroArrivals(t *testing.T) {
+	c := testConst(t)
+	// A 0.001 req/s stream's first gap overshoots a 30 s window with
+	// probability e^-0.03 ≈ 97%; seed 1 draws such a gap.
+	w := Workload{ArrivalPerSec: 0.001, ServiceSec: 0.01, Seed: 1}
+	r, err := Run(c, baseCfg(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed != 0 || r.ServersUsed != 0 || r.MaxUtilization != 0 || r.ResponseMs.N() != 0 {
+		t.Fatalf("empty window: completed %d, servers %d, util %v, samples %d",
+			r.Completed, r.ServersUsed, r.MaxUtilization, r.ResponseMs.N())
 	}
 }
 

@@ -49,6 +49,7 @@ type legacyEngine struct {
 	latency  *stats.CDF
 	nQueued  int
 	peakQ    int
+	lastDone float64 // kernel time of the latest completion
 
 	m         *metricsSet
 	reqC      *obs.Counter
@@ -275,6 +276,7 @@ func (e *legacyEngine) arrive(r Request) {
 			e.outstanding[sat]--
 			e.inflight--
 			e.served++
+			e.lastDone = e.sim.Now()
 			respMs := (e.sim.Now() - arrival + oneWaySec) * 1000
 			e.latency.Add(respMs)
 			if e.servedC != nil {
@@ -373,5 +375,6 @@ func (e *legacyEngine) Result() Result {
 		Utilization: util,
 		SatsUsed:    used,
 		PeakQueued:  e.peakQ,
+		LastDoneSec: e.lastDone,
 	}
 }

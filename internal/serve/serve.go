@@ -135,6 +135,9 @@ type Result struct {
 	// PeakQueued is the maximum simultaneous queue depth summed over
 	// satellites.
 	PeakQueued int
+	// LastDoneSec is the simulated time of the latest completion (0 when
+	// nothing has completed).
+	LastDoneSec float64
 }
 
 // ShedTotal sums sheds across reasons.

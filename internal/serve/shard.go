@@ -1,9 +1,9 @@
 package serve
 
 // The sharded discrete-event serving engine. The netsim-backed legacy
-// engine (legacy.go) replays one global (time, seq) heap; this engine gets
-// the same answers from a parallel plan, the playbook that scaled the fleet
-// planner: simulate in refresh-aligned time slices, fan each slice out
+// engine (legacy_test.go) replays one global (time, seq) heap; this engine
+// gets the same answers from a parallel plan, the playbook that scaled the
+// fleet planner: simulate in refresh-aligned time slices, fan each slice out
 // across workers, and merge worker results in a deterministic order so
 // every per-seed output byte matches the serial run.
 //
@@ -158,6 +158,7 @@ type sampleRec struct {
 type shardAcct struct {
 	served    int
 	inflightD int
+	lastDone  float64
 	shed      [4]int
 	samples   []sampleRec
 	deltas    []deltaEvt
@@ -264,6 +265,7 @@ type Engine struct {
 	latency  *stats.CDF
 	nQueued  int
 	peakQ    int
+	lastDone float64
 
 	workersUsed    int
 	parallelSlices int
@@ -672,6 +674,7 @@ func (e *Engine) drainSat(st *satShard, a *shardAcct, limit float64, inclusive b
 			st.outstanding--
 			a.inflightD--
 			a.served++
+			a.lastDone = math.Max(a.lastDone, ev.t)
 			a.samples = append(a.samples, sampleRec{t: ev.t, owner: rec.owner, ms: (ev.t - rec.t + rec.d) * 1000})
 			st.free = append(st.free, ev.ref)
 		}
@@ -705,6 +708,7 @@ func (e *Engine) mergeSegment(lo, hi, shards int) {
 		a := &e.acct[w]
 		e.served += a.served
 		e.inflight += a.inflightD
+		e.lastDone = math.Max(e.lastDone, a.lastDone)
 		for r := range e.shedN {
 			e.shedN[r] += a.shed[r]
 		}
@@ -831,6 +835,7 @@ func (e *Engine) serialDrain(limit float64, inclusive bool) {
 			st.outstanding--
 			e.inflight--
 			e.served++
+			e.lastDone = math.Max(e.lastDone, ev.t)
 			respMs := (ev.t - rec.t + rec.d) * 1000
 			e.latency.Add(respMs)
 			e.pendSamples = append(e.pendSamples, respMs)
@@ -930,5 +935,6 @@ func (e *Engine) Result() Result {
 		Utilization: util,
 		SatsUsed:    used,
 		PeakQueued:  e.peakQ,
+		LastDoneSec: e.lastDone,
 	}
 }

@@ -87,12 +87,12 @@ func runLegacyOracle(t testing.TB, c *constellation.Constellation, cfg Config, r
 }
 
 // renderResult canonicalizes a Result into a byte string: every counter,
-// per-reason sheds in report order, latency quantiles, and per-satellite
-// utilization, all at full float precision.
+// the last completion time, per-reason sheds in report order, latency
+// quantiles, and per-satellite utilization, all at full float precision.
 func renderResult(r Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "policy=%s offered=%d served=%d inflight=%d sats=%d peakq=%d\n",
-		r.Policy, r.Offered, r.Served, r.InFlight, r.SatsUsed, r.PeakQueued)
+	fmt.Fprintf(&b, "policy=%s offered=%d served=%d inflight=%d sats=%d peakq=%d last=%x\n",
+		r.Policy, r.Offered, r.Served, r.InFlight, r.SatsUsed, r.PeakQueued, r.LastDoneSec)
 	for _, reason := range ShedReasons {
 		fmt.Fprintf(&b, "shed[%s]=%d\n", reason, r.Shed[reason])
 	}
